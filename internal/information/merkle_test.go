@@ -2,6 +2,11 @@ package information
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -42,8 +47,191 @@ func TestDigestTreeIncrementalMatchesRebuild(t *testing.T) {
 	if got, want := tree.Count(), len(state); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
 	}
-	if tree.Root() != rebuildTree(state).Root() {
+	rebuilt := rebuildTree(state)
+	if tree.Root() != rebuilt.Root() {
 		t.Fatal("incremental root diverged from rebuild")
+	}
+	if !reflect.DeepEqual(tree.HighWater(), rebuilt.HighWater()) {
+		t.Fatalf("high water %v, rebuild %v", tree.HighWater(), rebuilt.HighWater())
+	}
+	// The incrementally maintained counter index and a rebuilt one
+	// answer every high-water query alike.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		hw := map[string]uint64{}
+		for _, s := range []string{"s0", "s1", "s2"} {
+			if rng.Intn(4) > 0 {
+				hw[s] = uint64(rng.Intn(6))
+			}
+		}
+		if got, want := tree.NewerThanHW(hw), rebuilt.NewerThanHW(hw); !slices.Equal(got, want) {
+			t.Fatalf("hw %v: incremental %v, rebuild %v", hw, got, want)
+		}
+	}
+}
+
+// scanNewerThanHW is the reference NewerThanHW: a walk over every entry
+// of every bucket, kept only as the oracle for the counter index.
+func scanNewerThanHW(t *DigestTree, hw map[string]uint64) []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	var out []string
+	for b := range t.buckets {
+		for id, e := range t.buckets[b] {
+			for _, p := range e.vv {
+				if p.c > hw[p.site] {
+					out = append(out, id)
+					break
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDigestTreeNewerThanHWMatchesScan drives the counter index through
+// thousands of random operations — forward updates with shuffled
+// counters, concurrent overwrites, stale updates the tree must ignore,
+// removes and re-adds — and checks NewerThanHW against the reference
+// scan under marks that are empty, missing sites, ahead of the tree,
+// one write behind, and random.
+func TestDigestTreeNewerThanHWMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1992))
+	sites := []string{"s0", "s1", "s2", "s3", "s4"}
+	tree := NewDigestTree()
+	state := make(map[string]vclock.Version) // what the tree should hold
+	removed := make(map[string]vclock.Version)
+	ids := make([]string, 300)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("obj-%04d", i)
+	}
+	check := func(step int, hw map[string]uint64) {
+		t.Helper()
+		got, want := tree.NewerThanHW(hw), scanNewerThanHW(tree, hw)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d, hw %v:\n got %v\nwant %v", step, hw, got, want)
+		}
+	}
+	for step := 0; step < 6000; step++ {
+		id := ids[rng.Intn(len(ids))]
+		cur, ok := state[id]
+		switch op := rng.Intn(10); {
+		case op < 5: // forward: tick a site by a random stride
+			vv := vclock.Version{}
+			if ok {
+				vv = cur.Clone()
+			}
+			vv[sites[rng.Intn(len(sites))]] += uint64(1 + rng.Intn(4))
+			tree.Update(id, vv)
+			state[id] = vv
+			delete(removed, id)
+		case op < 6 && ok: // concurrent overwrite: a vector on other sites
+			vv := vclock.Version{}
+			for _, s := range sites {
+				if _, mine := cur[s]; !mine && rng.Intn(2) == 0 {
+					vv[s] = uint64(1 + rng.Intn(8))
+				}
+			}
+			if len(vv) == 0 {
+				continue
+			}
+			tree.Update(id, vv)
+			state[id] = vv
+		case op < 7 && ok: // stale: a vector the entry dominates
+			vv := cur.Clone()
+			for s := range vv {
+				if vv[s] > 0 && rng.Intn(2) == 0 {
+					vv[s]--
+				}
+			}
+			tree.Update(id, vv)
+		case op < 8 && ok:
+			tree.Remove(id)
+			removed[id] = cur
+			delete(state, id)
+		case op < 9: // re-add a removed entry at its old counters
+			vv, gone := removed[id]
+			if !gone {
+				continue
+			}
+			tree.Update(id, vv)
+			state[id] = vv
+			delete(removed, id)
+		}
+		if step%7 != 0 {
+			continue
+		}
+		high := tree.HighWater()
+		check(step, nil)
+		check(step, high)
+		behind := tree.HighWater()
+		s := sites[rng.Intn(len(sites))]
+		if behind[s] > 0 {
+			behind[s]--
+		}
+		check(step, behind)
+		delete(behind, sites[rng.Intn(len(sites))])
+		check(step, behind)
+		ahead := map[string]uint64{}
+		for s, c := range high {
+			ahead[s] = c + 5
+		}
+		check(step, ahead)
+		random := map[string]uint64{}
+		for _, s := range sites {
+			if rng.Intn(3) > 0 {
+				random[s] = uint64(rng.Intn(int(high[s]) + 2))
+			}
+		}
+		check(step, random)
+	}
+	if tree.Count() != len(state) {
+		t.Fatalf("count = %d, want %d", tree.Count(), len(state))
+	}
+	if rebuilt := rebuildTree(state); tree.Root() != rebuilt.Root() {
+		t.Fatal("tree diverged from its model state")
+	}
+	for id, vv := range state {
+		if got := tree.LeafDigest(MerkleBucket(id))[id]; !reflect.DeepEqual(got, vv) {
+			t.Fatalf("%s: stored vector %v, want %v", id, got, vv)
+		}
+	}
+}
+
+// TestDigestTreeConcurrentQueries runs high-water queries alongside
+// writers, so the race detector sees the read path and the tail merge
+// it takes under the write lock.
+func TestDigestTreeConcurrentQueries(t *testing.T) {
+	tree := NewDigestTree()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				id := fmt.Sprintf("obj-%d-%04d", w, (i*7919)%1000)
+				tree.Update(id, vclock.Version{fmt.Sprintf("s%d", w): uint64(i + 1)})
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				hw := tree.HighWater()
+				for s := range hw {
+					hw[s] /= 2
+				}
+				tree.NewerThanHW(hw)
+			}
+		}()
+	}
+	wg.Wait()
+	hw := map[string]uint64{"s0": 1000}
+	if got, want := tree.NewerThanHW(hw), scanNewerThanHW(tree, hw); !slices.Equal(got, want) {
+		t.Fatalf("after concurrent use: got %d ids, want %d", len(got), len(want))
 	}
 }
 

@@ -183,8 +183,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	in := r.instrument(name, labels, KindCounter)
-	return in.c
+	return r.instrument(name, labels, KindCounter, nil).c
 }
 
 // Gauge returns the gauge for (name, labels), creating it on first use.
@@ -192,8 +191,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	in := r.instrument(name, labels, KindGauge)
-	return in.g
+	return r.instrument(name, labels, KindGauge, nil).g
 }
 
 // Histogram returns the histogram for (name, labels) with the given
@@ -204,15 +202,13 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	in := r.instrument(name, labels, KindHistogram)
-	if in.h.bounds == nil && len(bounds) > 0 {
-		in.h.bounds = append([]float64(nil), bounds...)
-		in.h.counts = make([]int64, len(bounds)+1)
-	}
-	return in.h
+	return r.instrument(name, labels, KindHistogram, bounds).h
 }
 
-func (r *Registry) instrument(name string, labels []Label, kind Kind) *instrument {
+// instrument returns the instrument for (name, labels), creating it on
+// first use. A histogram's bounds are set here, under r.mu, so a
+// concurrent first use never sees a half-built instrument.
+func (r *Registry) instrument(name string, labels []Label, kind Kind, bounds []float64) *instrument {
 	ls := append([]Label(nil), labels...)
 	sortLabels(ls)
 	key := labelKey(name, ls)
@@ -231,7 +227,7 @@ func (r *Registry) instrument(name string, labels []Label, kind Kind) *instrumen
 	case KindGauge:
 		in.g = &Gauge{}
 	case KindHistogram:
-		in.h = &Histogram{counts: make([]int64, 1)}
+		in.h = &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]int64, len(bounds)+1)}
 	}
 	r.instruments[key] = in
 	return in
