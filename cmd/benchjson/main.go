@@ -7,7 +7,7 @@
 // repository's performance trajectory.
 //
 //	go test -run='^$' -bench=. -benchtime=1x ./... | tee bench.txt
-//	go run ./cmd/benchjson -o BENCH_pr6.json bench.txt
+//	go run ./cmd/benchjson -o BENCH.json bench.txt
 package main
 
 import (

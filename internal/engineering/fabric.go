@@ -27,8 +27,8 @@ type ChannelInfo struct {
 
 // FabricTotals aggregates a fabric's channel counters.
 type FabricTotals struct {
-	Nodes          int
-	Channels       int
+	Nodes          int `metric:",gauge"`
+	Channels       int `metric:"open,gauge"`
 	FramesOut      int64
 	FramesIn       int64
 	BytesOut       int64

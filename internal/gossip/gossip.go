@@ -162,8 +162,8 @@ type Stats struct {
 	RumorFetches    int64 // fetch pulls issued for rumored rows
 	RumorApplied    int64 // rows rumor fetches changed local state with
 
-	ActiveSize  int // current active view size
-	PassiveSize int // current passive view size
+	ActiveSize  int `metric:"active_view,gauge"`  // current active view size
+	PassiveSize int `metric:"passive_view,gauge"` // current passive view size
 }
 
 // Option configures an Overlay.

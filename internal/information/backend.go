@@ -4,7 +4,7 @@ import "mocca/internal/vclock"
 
 // Backend is the storage surface a Space drives: the keeping of object
 // rows and the relationship graph, with one atomic read-modify-write
-// primitive (Exec) and the two replication queries (Digest, NewerThan).
+// primitive (Exec) and the replication summary (Digest).
 // It is the seam between the information viewpoint and its engineering
 // realisation — the engine, anti-entropy replication and the groupware
 // applications are all written against this interface and cannot tell
@@ -26,9 +26,8 @@ import "mocca/internal/vclock"
 // written so it never has to materialise more than the caller asked
 // for: Range and Snapshot stream rows one at a time (a disk-backed
 // implementation may merge memtable and segment cursors under the
-// hood), Get/Exec are point lookups, and only Digest/NewerThan are
-// inherently O(rows) — they summarise every version vector, which is
-// exactly the anti-entropy exchange they exist for.
+// hood), Get/Exec are point lookups, and only Digest is inherently
+// O(rows) — it summarises every version vector.
 type Backend interface {
 	// Len returns the number of stored objects.
 	Len() int
@@ -60,9 +59,6 @@ type Backend interface {
 	// Digest summarises every row's version vector for anti-entropy
 	// exchange.
 	Digest() map[string]vclock.Version
-	// NewerThan returns copies of rows the given digest has not fully
-	// seen — the delta a peer with that digest needs to pull.
-	NewerThan(digest map[string]vclock.Version) []*Object
 
 	// Relate records a typed relationship; composition and dependency must
 	// stay acyclic. Both endpoints must exist.

@@ -81,7 +81,7 @@ type Stats struct {
 	Compactions        int64 // flushes + level merges completed
 	CompactionFailures int64 // failed flushes/merges (writes stay durable in the WAL)
 	Merges             int64 // level merges completed (subset of Compactions)
-	Segments           int   // live segment files right now (gauge)
+	Segments           int   `metric:",gauge"` // live segment files right now
 
 	// Group-commit counters: Flushes is how many write(+fsync) windows
 	// drained the batch buffer, FlushedRecords how many records they
@@ -108,7 +108,7 @@ type Stats struct {
 	SegmentReadFailures int64
 
 	// IterationFailures counts merged-view scans (Range, Snapshot,
-	// Digest, NewerThan) cut short by a segment I/O or decode error.
+	// Digest) cut short by a segment I/O or decode error.
 	// Those Backend signatures have no error slot either — the caller
 	// sees a truncated view, so the failure must at least be visible
 	// here (a silently partial digest would ship an incomplete
@@ -116,11 +116,12 @@ type Stats struct {
 	// Merkle tree without anyone knowing).
 	IterationFailures int64
 
-	RecoveredObjects   int   // rows live after Open (manifest + replay)
-	RecoveredRelations int   // edges loaded by Open
-	ReplayedRecords    int   // WAL records applied by Open
-	SkippedRecords     int   // WAL records the manifest already covered
-	DiscardedBytes     int64 // corrupt/torn WAL suffix truncated by Open
+	// What Open found (gauges: fixed for the life of the store).
+	RecoveredObjects   int   `metric:",gauge"` // rows live after Open (manifest + replay)
+	RecoveredRelations int   `metric:",gauge"` // edges loaded by Open
+	ReplayedRecords    int   `metric:",gauge"` // WAL records applied by Open
+	SkippedRecords     int   `metric:",gauge"` // WAL records the manifest already covered
+	DiscardedBytes     int64 `metric:",gauge"` // corrupt/torn WAL suffix truncated by Open
 }
 
 // Option configures a Store.
@@ -1059,22 +1060,6 @@ func (s *Store) Digest() map[string]vclock.Version {
 	out := make(map[string]vclock.Version, s.Len())
 	s.noteIterFailure(s.iterate(func(obj *information.Object, _ bool) bool {
 		out[obj.ID] = obj.VV.Clone()
-		return true
-	}))
-	return out
-}
-
-// NewerThan returns copies of rows the given digest has not fully seen —
-// already sorted by id, which the merged iteration yields for free.
-func (s *Store) NewerThan(digest map[string]vclock.Version) []*information.Object {
-	var out []*information.Object
-	s.noteIterFailure(s.iterate(func(obj *information.Object, fromMem bool) bool {
-		if seen, ok := digest[obj.ID]; !ok || !seen.Dominates(obj.VV) {
-			if fromMem {
-				obj = obj.Clone()
-			}
-			out = append(out, obj)
-		}
 		return true
 	}))
 	return out

@@ -459,14 +459,17 @@ func (s *Space) Tree() *DigestTree { return s.tree }
 func (s *Space) Range(fn func(*Object) bool) { s.store.Range(fn) }
 
 // Fetch reads a row without access control — the replication layer's
-// read, symmetric to NewerThan/Digest which also bypass the ACL:
+// read, symmetric to Snapshot/Digest which also bypass the ACL:
 // authorisation happened where the read request is served, not here.
 func (s *Space) Fetch(id string) (*Object, bool) { return s.store.Get(id) }
 
-// NewerThan returns objects the given digest has not fully seen — the
-// delta a peer with that digest needs.
-func (s *Space) NewerThan(digest map[string]vclock.Version) []*Object {
-	return s.store.NewerThan(digest)
+// Snapshot returns copies of every stored row, sorted by id, without
+// access control — the replication layer's bulk read (placement
+// migration scans it for rows this site is no longer placed for).
+func (s *Space) Snapshot() []*Object {
+	out := s.store.Snapshot(nil)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // lwwWins reports whether a beats b under site-ordered last-writer-wins:

@@ -3,6 +3,7 @@ package observe
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -19,9 +20,8 @@ type Kind string
 
 // Instrument kinds.
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
+	KindCounter Kind = "counter"
+	KindGauge   Kind = "gauge"
 )
 
 // Label is one name dimension, e.g. {site, gmd}.
@@ -83,59 +83,13 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable instrument.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Histogram counts observations into fixed buckets.
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // upper bounds, ascending; implicit +Inf last
-	counts []int64   // len(bounds)+1
-	sum    float64
-	n      int64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	h.mu.Unlock()
-}
-
 // Point is one exported sample: an instrument's identity and value at
-// snapshot time. For histograms Value is the observation count, Sum the
-// total, and Bounds/Buckets the per-bucket breakdown (Buckets is
-// non-cumulative; the slice is one longer than Bounds for the overflow
-// bucket).
+// snapshot time.
 type Point struct {
-	Name    string    `json:"name"`
-	Labels  []Label   `json:"labels,omitempty"`
-	Kind    Kind      `json:"kind"`
-	Value   int64     `json:"value"`
-	Sum     float64   `json:"sum,omitempty"`
-	Bounds  []float64 `json:"bounds,omitempty"`
-	Buckets []int64   `json:"buckets,omitempty"`
+	Name   string  `json:"name"`
+	Labels []Label `json:"labels,omitempty"`
+	Kind   Kind    `json:"kind"`
+	Value  int64   `json:"value"`
 }
 
 func (p Point) identity() string { return labelKey(p.Name, p.Labels) }
@@ -154,9 +108,61 @@ type CollectorFunc func(emit func(Point))
 // Collect implements Collector.
 func (f CollectorFunc) Collect(emit func(Point)) { f(emit) }
 
-// Registry holds direct instruments and adapter collectors, and
-// produces deterministic snapshots. A nil *Registry is valid: every
-// lookup returns nil instruments whose methods are no-ops.
+// EmitStats projects a Stats struct: every exported integer field becomes
+// one point named prefix + "." + the field's metric name (see
+// MetricName), carrying labels. Fields of other types are skipped. This
+// is how a collector exports a subsystem's counters without a
+// hand-written list — a new field is exported the moment it exists.
+func EmitStats(emit func(Point), prefix string, stats any, labels ...Label) {
+	v := reflect.ValueOf(stats)
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		if !f.IsExported() || !fv.CanInt() {
+			continue
+		}
+		name, kind := MetricName(f)
+		emit(Point{Name: prefix + "." + name, Labels: labels, Kind: kind, Value: fv.Int()})
+	}
+}
+
+// MetricName returns the name suffix and kind EmitStats gives a Stats
+// field: the field name in snake_case ("HWFastDeltas" → "hw_fast_deltas")
+// and a counter, unless a `metric:"name,gauge"` tag renames the field,
+// marks it a gauge, or both (`metric:",gauge"` keeps the derived name).
+func MetricName(f reflect.StructField) (string, Kind) {
+	name, opt, _ := strings.Cut(f.Tag.Get("metric"), ",")
+	if name == "" {
+		name = snakeCase(f.Name)
+	}
+	if opt == "gauge" {
+		return name, KindGauge
+	}
+	return name, KindCounter
+}
+
+// snakeCase lower-cases an exported Go identifier, starting a new word at
+// each upper-case letter that follows a lower-case one or that ends an
+// acronym ("HWFast" → "hw_fast").
+func snakeCase(s string) string {
+	lower := func(c byte) bool { return c >= 'a' && c <= 'z' }
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'A' && c <= 'Z' {
+			if i > 0 && (lower(s[i-1]) || i+1 < len(s) && lower(s[i+1])) {
+				b.WriteByte('_')
+			}
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+// Registry holds direct counters and adapter collectors, and produces
+// deterministic snapshots. A nil *Registry is valid: every lookup
+// returns a nil counter whose methods are no-ops.
 type Registry struct {
 	mu          sync.Mutex
 	instruments map[string]*instrument
@@ -166,10 +172,7 @@ type Registry struct {
 type instrument struct {
 	name   string
 	labels []Label
-	kind   Kind
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	c      Counter
 }
 
 // NewRegistry builds an empty registry.
@@ -178,59 +181,22 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the counter for (name, labels), creating it on first
-// use. Reusing a name with a different kind panics: names are a schema.
+// use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.instrument(name, labels, KindCounter, nil).c
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.instrument(name, labels, KindGauge, nil).g
-}
-
-// Histogram returns the histogram for (name, labels) with the given
-// upper bounds (ascending), creating it on first use. Bounds are fixed
-// at creation; later calls may pass nil bounds to fetch the existing
-// instrument.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.instrument(name, labels, KindHistogram, bounds).h
-}
-
-// instrument returns the instrument for (name, labels), creating it on
-// first use. A histogram's bounds are set here, under r.mu, so a
-// concurrent first use never sees a half-built instrument.
-func (r *Registry) instrument(name string, labels []Label, kind Kind, bounds []float64) *instrument {
 	ls := append([]Label(nil), labels...)
 	sortLabels(ls)
 	key := labelKey(name, ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in, ok := r.instruments[key]; ok {
-		if in.kind != kind {
-			panic(fmt.Sprintf("observe: instrument %q re-registered as %s (was %s)", key, kind, in.kind))
-		}
-		return in
+	in, ok := r.instruments[key]
+	if !ok {
+		in = &instrument{name: name, labels: ls}
+		r.instruments[key] = in
 	}
-	in := &instrument{name: name, labels: ls, kind: kind}
-	switch kind {
-	case KindCounter:
-		in.c = &Counter{}
-	case KindGauge:
-		in.g = &Gauge{}
-	case KindHistogram:
-		in.h = &Histogram{bounds: append([]float64(nil), bounds...), counts: make([]int64, len(bounds)+1)}
-	}
-	r.instruments[key] = in
-	return in
+	return &in.c
 }
 
 // Register adds an adapter collector consulted at snapshot time.
@@ -250,7 +216,7 @@ type Snapshot struct {
 	Points []Point `json:"points"`
 }
 
-// Snapshot gathers direct instruments and all collectors. If two
+// Snapshot gathers direct counters and all collectors. If two
 // sources emit the same (name, labels) identity, later values replace
 // earlier ones — collectors own their names, so a clash is a schema bug
 // surfaced deterministically rather than summed silently.
@@ -268,20 +234,7 @@ func (r *Registry) Snapshot() Snapshot {
 
 	byID := make(map[string]Point, len(ins))
 	for _, in := range ins {
-		p := Point{Name: in.name, Labels: in.labels, Kind: in.kind}
-		switch in.kind {
-		case KindCounter:
-			p.Value = in.c.Value()
-		case KindGauge:
-			p.Value = in.g.Value()
-		case KindHistogram:
-			in.h.mu.Lock()
-			p.Value = in.h.n
-			p.Sum = in.h.sum
-			p.Bounds = append([]float64(nil), in.h.bounds...)
-			p.Buckets = append([]int64(nil), in.h.counts...)
-			in.h.mu.Unlock()
-		}
+		p := Point{Name: in.name, Labels: in.labels, Kind: KindCounter, Value: in.c.Value()}
 		byID[p.identity()] = p
 	}
 	for _, c := range collectors {
@@ -321,8 +274,8 @@ func (s Snapshot) Value(name string, labels ...Label) int64 {
 	return p.Value
 }
 
-// Diff subtracts prev from s: counters and histograms become deltas,
-// gauges keep their current value. Points absent from prev pass through
+// Diff subtracts prev from s: counters become deltas, gauges keep their
+// current value. Points absent from prev pass through
 // unchanged; points only in prev are dropped.
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	old := make(map[string]Point, len(prev.Points))
@@ -333,13 +286,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	for _, p := range s.Points {
 		if q, ok := old[p.identity()]; ok && p.Kind != KindGauge {
 			p.Value -= q.Value
-			p.Sum -= q.Sum
-			if len(p.Buckets) == len(q.Buckets) {
-				p.Buckets = append([]int64(nil), p.Buckets...)
-				for i := range p.Buckets {
-					p.Buckets[i] -= q.Buckets[i]
-				}
-			}
 		}
 		out.Points = append(out.Points, p)
 	}
@@ -348,7 +294,7 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 
 // WriteText renders the snapshot in the Prometheus text exposition
 // format: dotted names flattened to underscores, one # TYPE line per
-// family, histogram buckets cumulative with +Inf last.
+// family.
 func (s Snapshot) WriteText(w io.Writer) error {
 	typed := make(map[string]bool)
 	for _, p := range s.Points {
@@ -364,43 +310,20 @@ func (s Snapshot) WriteText(w io.Writer) error {
 				return err
 			}
 		}
-		switch p.Kind {
-		case KindHistogram:
-			cum := int64(0)
-			for i, b := range p.Buckets {
-				cum += b
-				le := "+Inf"
-				if i < len(p.Bounds) {
-					le = fmt.Sprintf("%g", p.Bounds[i])
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", flat, renderLabels(p.Labels, Label{Key: "le", Value: le}), cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", flat, renderLabels(p.Labels), p.Sum); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", flat, renderLabels(p.Labels), p.Value); err != nil {
-				return err
-			}
-		default:
-			if _, err := fmt.Fprintf(w, "%s%s %d\n", flat, renderLabels(p.Labels), p.Value); err != nil {
-				return err
-			}
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", flat, renderLabels(p.Labels), p.Value); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func renderLabels(ls []Label, extra ...Label) string {
-	if len(ls)+len(extra) == 0 {
+func renderLabels(ls []Label) string {
+	if len(ls) == 0 {
 		return ""
 	}
-	all := append(append([]Label(nil), ls...), extra...)
-	sortLabels(all)
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, l := range all {
+	for i, l := range ls {
 		if i > 0 {
 			b.WriteByte(',')
 		}

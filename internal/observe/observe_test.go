@@ -174,11 +174,7 @@ func TestRegistryInstrumentsAndSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mocca.x.ops", L("site", "a")...).Add(3)
 	r.Counter("mocca.x.ops", L("site", "b")...).Inc()
-	r.Gauge("mocca.x.depth").Set(7)
-	h := r.Histogram("mocca.x.lat", []float64{1, 10}, L("site", "a")...)
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
+	r.Counter("mocca.x.ops", L("site", "b")...).Add(-4) // ignored: counters only grow
 
 	s := r.Snapshot()
 	if got := s.Value("mocca.x.ops", L("site", "a")...); got != 3 {
@@ -187,15 +183,8 @@ func TestRegistryInstrumentsAndSnapshot(t *testing.T) {
 	if got := s.Value("mocca.x.ops", L("site", "b")...); got != 1 {
 		t.Fatalf("counter b = %d", got)
 	}
-	if got := s.Value("mocca.x.depth"); got != 7 {
-		t.Fatalf("gauge = %d", got)
-	}
-	p, ok := s.Get("mocca.x.lat", L("site", "a")...)
-	if !ok || p.Value != 3 || p.Sum != 55.5 {
-		t.Fatalf("hist point = %+v ok=%v", p, ok)
-	}
-	if len(p.Buckets) != 3 || p.Buckets[0] != 1 || p.Buckets[1] != 1 || p.Buckets[2] != 1 {
-		t.Fatalf("buckets = %v", p.Buckets)
+	if p, ok := s.Get("mocca.x.ops", L("site", "a")...); !ok || p.Kind != KindCounter {
+		t.Fatalf("counter point = %+v ok=%v", p, ok)
 	}
 
 	// Snapshots are sorted and stable.
@@ -231,11 +220,43 @@ func TestRegistryCollectorAndDiff(t *testing.T) {
 	}
 }
 
+func TestEmitStatsDerivesNames(t *testing.T) {
+	type stats struct {
+		Rounds       int64
+		HWFastDeltas int64
+		Served       int64 `metric:"reads_served"`
+		Open         int   `metric:",gauge"`
+		Channels     int   `metric:"open_channels,gauge"`
+		Site         string
+		hidden       int64
+	}
+	var got []Point
+	EmitStats(func(p Point) { got = append(got, p) }, "mocca.x",
+		stats{Rounds: 1, HWFastDeltas: 2, Served: 3, Open: 4, Channels: 5, hidden: 6}, L("site", "a")...)
+	want := []Point{
+		{Name: "mocca.x.rounds", Kind: KindCounter, Value: 1},
+		{Name: "mocca.x.hw_fast_deltas", Kind: KindCounter, Value: 2},
+		{Name: "mocca.x.reads_served", Kind: KindCounter, Value: 3},
+		{Name: "mocca.x.open", Kind: KindGauge, Value: 4},
+		{Name: "mocca.x.open_channels", Kind: KindGauge, Value: 5},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("emitted %d points, want %d: %+v", len(got), len(want), got)
+	}
+	for i, p := range got {
+		w := want[i]
+		if p.Name != w.Name || p.Kind != w.Kind || p.Value != w.Value || len(p.Labels) != 1 {
+			t.Fatalf("point %d = %+v, want %+v with the site label", i, p, w)
+		}
+	}
+}
+
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
-	r.Histogram("z", []float64{1}).Observe(2)
+	if v := r.Counter("x").Value(); v != 0 {
+		t.Fatalf("nil registry counter = %d", v)
+	}
 	r.Register(CollectorFunc(func(func(Point)) {}))
 	if s := r.Snapshot(); len(s.Points) != 0 {
 		t.Fatalf("nil registry snapshot non-empty")
@@ -245,7 +266,9 @@ func TestNilRegistrySafe(t *testing.T) {
 func TestWriteTextExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mocca.replica.rounds", L("site", "gmd")...).Add(4)
-	r.Histogram("mocca.rpc.latency_ms", []float64{1, 5}, L("site", "gmd")...).Observe(3)
+	r.Register(CollectorFunc(func(emit func(Point)) {
+		emit(Point{Name: "mocca.rpc.in-flight", Kind: KindGauge, Value: 2, Labels: L("site", "gmd")})
+	}))
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -254,10 +277,8 @@ func TestWriteTextExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE mocca_replica_rounds counter",
 		`mocca_replica_rounds{site="gmd"} 4`,
-		"# TYPE mocca_rpc_latency_ms histogram",
-		`mocca_rpc_latency_ms_bucket{le="5",site="gmd"} 1`,
-		`mocca_rpc_latency_ms_bucket{le="+Inf",site="gmd"} 1`,
-		`mocca_rpc_latency_ms_count{site="gmd"} 1`,
+		"# TYPE mocca_rpc_in_flight gauge",
+		`mocca_rpc_in_flight{site="gmd"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -332,8 +353,7 @@ func TestConcurrentUse(t *testing.T) {
 				child.End()
 				sp.End()
 				r.Counter("c", L("g", string(rune('a'+g)))...).Inc()
-				r.Gauge("g").Set(int64(i))
-				r.Histogram("h", []float64{10, 100}).Observe(float64(i))
+				r.Counter("shared").Inc()
 				if i%50 == 0 {
 					tr.Spans()
 					tr.Counts()
@@ -345,5 +365,8 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if got := r.Snapshot().Value("c", L("g", "a")...); got != 200 {
 		t.Fatalf("counter = %d", got)
+	}
+	if got := r.Snapshot().Value("shared"); got != 8*200 {
+		t.Fatalf("shared counter = %d", got)
 	}
 }

@@ -77,8 +77,8 @@ type writeResp struct {
 // ReadServerStats counts remote reads and forwarded writes served by a
 // holder.
 type ReadServerStats struct {
-	Served int64 // reads answered with an object
-	Missed int64 // reads refused (unknown object or access denied)
+	Served int64 `metric:"remote_reads_served"` // reads answered with an object
+	Missed int64 `metric:"remote_reads_missed"` // reads refused (unknown object or access denied)
 
 	WritesAccepted int64 // forwarded writes merged into the replica
 	WritesRefused  int64 // forwarded writes refused (not placed here)
@@ -176,8 +176,8 @@ func (s *ReadServer) bump(fn func(*ReadServerStats)) {
 // ReaderStats counts remote resolutions issued by a non-placed site.
 type ReaderStats struct {
 	Reads    int64 // read-throughs attempted
-	Served   int64 // read-throughs satisfied by some holder
-	Attempts int64 // per-holder rpc attempts (retries across offers)
+	Served   int64 `metric:"reads_served"`  // read-throughs satisfied by some holder
+	Attempts int64 `metric:"read_attempts"` // per-holder rpc attempts (retries across offers)
 	NoHolder int64 // read-throughs that exhausted every offer
 
 	NegativeHits    int64 // reads short-circuited by the negative cache

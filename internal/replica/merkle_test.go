@@ -1,9 +1,9 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"mocca/internal/id"
 	"mocca/internal/information"
@@ -158,43 +158,33 @@ func TestMerkleDescentRepairsHighWaterBlindSpot(t *testing.T) {
 	}
 }
 
-// TestMerkleLegacyPeerFallback: a peer built WithFullDigest neither
-// serves nor initiates the negotiation. Its partner detects the missing
-// method on the first round, falls back to the full-digest exchange, and
-// the pair still converges — in both directions.
-func TestMerkleLegacyPeerFallback(t *testing.T) {
-	g := newFixtureOpts(t, []Option{}, []Option{WithFullDigest()})
-	obj, err := g.spaces[0].Put("prinz", "doc", map[string]string{"title": "draft"})
-	if err != nil {
-		t.Fatal(err)
+// TestUnscopedSyncRefused: a replica.sync request that names no Merkle
+// leaf buckets would ask for the whole-space digest, which no replicator
+// sends. The responder refuses it instead of building and shipping O(n)
+// digest bytes for a request of a few bytes.
+func TestUnscopedSyncRefused(t *testing.T) {
+	f := newManualFixture(t, 1)
+	for i := 0; i < 3; i++ {
+		if _, err := f.spaces[0].Put("prinz", "doc", map[string]string{"title": fmt.Sprintf("doc %d", i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	g.clk.RunUntilIdle()
-	g.assertConverged(t, obj.ID)
-
-	s0 := g.reps[0].Stats()
-	if s0.LegacyExchanges == 0 {
-		t.Fatalf("modern replicator never fell back: %+v", s0)
+	caller := rpc.NewEndpoint(f.net.MustAddNode("repl-stranger"), f.clk)
+	var resp syncResp
+	var err error
+	caller.GoJSON(f.reps[0].Addr(), MethodSync, syncReq{Site: "stranger"}, func(res rpc.Result) {
+		err = res.Decode(&resp)
+	})
+	f.clk.RunUntilIdle()
+	if err == nil {
+		t.Fatalf("unscoped sync answered: %d digest entries, %d deltas", len(resp.Digest), len(resp.Deltas))
 	}
-	if s0.DigestEntriesSent == 0 {
-		t.Fatal("fallback shipped no full digest")
+	var re *rpc.RemoteError
+	if !errors.As(err, &re) || re.Msg != ErrUnscopedSync.Error() {
+		t.Fatalf("err = %v, want the remote %v", err, ErrUnscopedSync)
 	}
-	// The fallback is sticky: later rounds go straight to the legacy path
-	// (exactly one failed negotiation attempt).
-	if s0.MerkleExchanges != 1 {
-		t.Fatalf("negotiation attempts = %d, want 1", s0.MerkleExchanges)
-	}
-
-	// The legacy side initiates its own rounds natively.
-	if _, err := g.spaces[1].Update("prinz", obj.ID, 1, map[string]string{"title": "v2"}); err != nil {
-		t.Fatal(err)
-	}
-	g.clk.RunUntilIdle()
-	got := g.assertConverged(t, obj.ID)
-	if got.Fields["title"] != "v2" {
-		t.Fatalf("legacy-initiated round failed: %v", got.Fields)
-	}
-	if g.reps[1].Stats().MerkleExchanges != 0 {
-		t.Fatal("WithFullDigest replicator initiated a negotiation")
+	if s := f.reps[0].Stats(); s.ServedDigests != 0 || s.DeltasServed != 0 {
+		t.Fatalf("refused request was served: %+v", s)
 	}
 }
 
@@ -227,40 +217,6 @@ func newManualFixture(t *testing.T, n int) *fixture {
 				r.AddPeerNamed(o.Site(), o.Addr())
 			}
 		}
-	}
-	return f
-}
-
-// newFixtureOpts is newFixture with per-site replicator options — the
-// mixed-version mesh builder (e.g. one modern site, one WithFullDigest).
-func newFixtureOpts(t *testing.T, siteOpts ...[]Option) *fixture {
-	t.Helper()
-	clk := vclock.NewSimulated(netsim.DefaultEpoch)
-	net := netsim.New(netsim.WithClock(clk), netsim.WithSeed(7))
-	registry := information.NewSchemaRegistry()
-	if err := registry.Register(information.Schema{Name: "doc", Fields: []information.Field{
-		{Name: "title", Type: information.FieldText, Required: true},
-		{Name: "body", Type: information.FieldText},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	ids := id.New()
-	f := &fixture{clk: clk, net: net}
-	for i, opts := range siteOpts {
-		site := fmt.Sprintf("s%d", i)
-		sp := information.NewSpace(registry, nil, clk,
-			information.WithSite(site), information.WithIDs(ids))
-		ep := rpc.NewEndpoint(net.MustAddNode(netsim.Address("repl-"+site)), clk, rpc.WithIDs(ids))
-		f.spaces = append(f.spaces, sp)
-		f.reps = append(f.reps, New(ep, clk, sp, opts...))
-	}
-	for i, r := range f.reps {
-		for j, o := range f.reps {
-			if i != j {
-				r.AddPeerNamed(o.Site(), o.Addr())
-			}
-		}
-		r.AutoSync(time.Second)
 	}
 	return f
 }

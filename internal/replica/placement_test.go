@@ -82,14 +82,12 @@ func TestPlacementScopedSync(t *testing.T) {
 		t.Fatalf("s2 holds %d rows, want 1", n)
 	}
 
-	// The savings are observable without packet inspection. Under the
-	// Merkle negotiation the placement cut is structural — rows stay out
-	// of the per-peer digest trees (ScopeFiltered) — while the legacy
-	// counters still cover the full-digest fallback path.
+	// The savings are observable without packet inspection: the
+	// placement cut is structural — rows stay out of the per-peer digest
+	// trees (ScopeFiltered).
 	var filtered int64
 	for _, r := range f.reps {
-		s := r.Stats()
-		filtered += s.FilteredDeltas + s.FilteredPushes + s.ScopeFiltered
+		filtered += r.Stats().ScopeFiltered
 	}
 	if filtered == 0 {
 		t.Fatal("no filtering recorded in stats")

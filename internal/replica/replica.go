@@ -3,18 +3,16 @@
 // replicas convergent with a push-pull anti-entropy protocol run as an
 // rpc service.
 //
-// Digest exchange is a Merkle negotiation, not a full-digest ship: each
-// round opens with a root-hash compare over the space's incremental
-// digest tree (information.DigestTree) plus per-site high-water marks.
-// A converged pair exchanges one tiny message; a divergent pair first
-// repairs whatever the high-water marks explain (the single-writer fast
-// path), then descends only the mismatched subtrees and exchanges
-// id→version-vector digests for the divergent leaves alone — so digest
-// bytes are O(1) when converged and O(log n · changed) when not, instead
-// of O(n) every round. A peer that does not speak the negotiation (old
-// binary, or one built WithFullDigest) is detected on the first round
-// and served through the original full-digest exchange, which remains
-// the wire-compatible fallback.
+// The digest exchange is a Merkle negotiation, and it is the only
+// anti-entropy protocol: each round opens with a root-hash compare over
+// the space's incremental digest tree (information.DigestTree) plus
+// per-site high-water marks. A converged pair exchanges one tiny
+// message; a divergent pair first repairs whatever the high-water marks
+// explain (the single-writer fast path), then descends only the
+// mismatched subtrees and exchanges id→version-vector digests for the
+// divergent leaves alone — so digest bytes are O(1) when converged and
+// O(log n · changed) when not. No exchange ever ships the whole-space
+// digest: replica.sync refuses a request that names no leaf buckets.
 //
 // Because every exchange is an rpc interrogation, sync traffic traverses
 // the engineering channel stack like all other traffic in the repository:
@@ -41,7 +39,6 @@ import (
 	"errors"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -56,12 +53,12 @@ import (
 
 // RPC method names of the anti-entropy protocol.
 const (
-	// MethodSync is the digest exchange: the caller sends its digest, the
-	// peer answers with its own digest plus every object the caller has
-	// not fully seen (the delta pull, folded into the same interrogation).
-	// With a Scope, both digests cover only the named Merkle leaf buckets
-	// — the final, narrow step of a digest negotiation; without one it is
-	// the legacy full-digest exchange.
+	// MethodSync is the final, narrow step of a digest negotiation: the
+	// caller sends its digest for the divergent Merkle leaf buckets named
+	// in Scope, the peer answers with its own digest for those buckets
+	// plus every object in them the caller has not fully seen (the delta
+	// pull, folded into the same interrogation). A request without a
+	// Scope is refused with ErrUnscopedSync.
 	MethodSync = "replica.sync"
 	// MethodPush delivers objects the caller holds that the peer's digest
 	// had not seen — the push half that lets one round converge a pair.
@@ -85,6 +82,11 @@ const (
 	DefaultFailureCap = 8
 )
 
+// ErrUnscopedSync refuses a replica.sync request that names no Merkle
+// leaf buckets: the whole-space digest it would ask for is O(n) to
+// build and ship, and no replicator sends one.
+var ErrUnscopedSync = errors.New("replica: sync request names no leaf buckets")
+
 // wireObject is the JSON form of an information.Object on the sync wire
 // (shared with the placement remote-read protocol).
 type wireObject = information.WireObject
@@ -97,8 +99,7 @@ type syncReq struct {
 	Digest map[string]vclock.Version `json:"digest"`
 	// Scope restricts the exchange to the named Merkle leaf buckets: the
 	// digest covers only rows filed under them and the responder answers
-	// with its own scoped digest and deltas. Empty means the legacy
-	// full-digest exchange over the whole id space.
+	// with its own scoped digest and deltas. An empty Scope is refused.
 	Scope []uint32 `json:"scope,omitempty"`
 }
 
@@ -167,8 +168,8 @@ type pushResp struct {
 
 // Stats counts a replicator's activity. The digest/delta counters make
 // the cost of every round — and the savings of partial replication —
-// observable without packet inspection: FilteredDeltas/FilteredPushes
-// count objects placement withheld from peers, RefusedApplies counts
+// observable without packet inspection: ScopeFiltered counts rows
+// placement keeps out of peers' digest trees, RefusedApplies counts
 // objects peers offered that this site is not placed for.
 type Stats struct {
 	Rounds        int64 // anti-entropy rounds initiated
@@ -182,8 +183,6 @@ type Stats struct {
 
 	DigestEntriesSent int64 // digest entries shipped in sync requests
 	DeltasServed      int64 // objects shipped in sync responses
-	FilteredDeltas    int64 // delta objects withheld from peers by placement
-	FilteredPushes    int64 // push objects withheld from peers by placement
 	RefusedApplies    int64 // offered objects this site is not placed for
 	Migrated          int64 // rows pushed off this replica by migration
 	Evicted           int64 // rows dropped locally after migration
@@ -194,7 +193,6 @@ type Stats struct {
 	// and pushes are not digest bytes. ConvergedRoots counts opening root
 	// compares that matched outright (the O(1) converged round).
 	MerkleExchanges int64 // peer exchanges that ran the digest negotiation
-	LegacyExchanges int64 // peer exchanges that used the full-digest path
 	ConvergedRoots  int64 // opening root compares that matched
 	DescentCalls    int64 // subtree-descent negotiation steps sent
 	HWFastDeltas    int64 // rows repaired straight off the high-water marks
@@ -202,18 +200,18 @@ type Stats struct {
 	// ScopeFiltered is a gauge, not a counter: the rows placement is
 	// currently keeping out of the cached per-peer digest trees (summed
 	// over peers), recomputed at each Stats snapshot.
-	ScopeFiltered int64
+	ScopeFiltered int64 `metric:",gauge"`
 	// ScopedTrees is a gauge: how many per-site scoped digest trees are
 	// cached right now — bounded by the peer set plus a little slack.
-	ScopedTrees int
+	ScopedTrees int `metric:",gauge"`
 
-	// Per-round observability: the last completed round's digest size and
-	// data movement (sum over its peer exchanges).
-	LastRoundDigestEntries int
-	LastRoundDigestBytes   int
-	LastRoundDescentDepth  int
-	LastRoundDeltas        int
-	LastRoundPushed        int
+	// Per-round observability (gauges): the last completed round's digest
+	// size and data movement (sum over its peer exchanges).
+	LastRoundDigestEntries int `metric:",gauge"`
+	LastRoundDigestBytes   int `metric:",gauge"`
+	LastRoundDescentDepth  int `metric:",gauge"`
+	LastRoundDeltas        int `metric:",gauge"`
+	LastRoundPushed        int `metric:",gauge"`
 }
 
 // Option configures a Replicator.
@@ -254,16 +252,6 @@ func WithTelemetry(tel *observe.Telemetry) Option {
 	}
 }
 
-// WithFullDigest disables the Merkle digest negotiation entirely: the
-// replicator neither initiates it nor serves MethodDigest, behaving like
-// a pre-negotiation binary. Peers detect the missing method on their
-// first round and fall back to the full-digest exchange — this option
-// exists for that compatibility path (and for measuring the negotiation
-// against the O(n) baseline it replaces).
-func WithFullDigest() Option {
-	return func(r *Replicator) { r.fullDigest = true }
-}
-
 // peer is one sync partner: its address plus (when known) its site name,
 // which is what placement filters the push half by.
 type peer struct {
@@ -290,23 +278,21 @@ type scopedTree struct {
 // anti-entropy protocol for peers and initiates its own sync rounds
 // against the configured peer set.
 type Replicator struct {
-	ep         *rpc.Endpoint
-	clock      vclock.Clock
-	space      *information.Space
-	site       string
-	timeout    time.Duration
-	policy     *placement.Policy
-	fullDigest bool
-	tracer     *observe.Tracer
-	objects    *observe.ObjectTraces
+	ep      *rpc.Endpoint
+	clock   vclock.Clock
+	space   *information.Space
+	site    string
+	timeout time.Duration
+	policy  *placement.Policy
+	tracer  *observe.Tracer
+	objects *observe.ObjectTraces
 
 	onRoundFail func() // membership-layer hook: a sync round saw peer failures
 
 	mu             sync.Mutex
 	peers          []peer
-	legacyPeers    map[netsim.Address]bool // peers that don't serve MethodDigest
-	scoped         map[string]scopedTree   // per-peer-site placement-scoped trees
-	commitEvents   uint64                  // row-changing space events seen by maintainScoped
+	scoped         map[string]scopedTree // per-peer-site placement-scoped trees
+	commitEvents   uint64                // row-changing space events seen by maintainScoped
 	interval       time.Duration
 	failureCap     int
 	auto           bool
@@ -323,15 +309,14 @@ type Replicator struct {
 // and takes the replica's site name from the space.
 func New(ep *rpc.Endpoint, clock vclock.Clock, space *information.Space, opts ...Option) *Replicator {
 	r := &Replicator{
-		ep:          ep,
-		clock:       clock,
-		space:       space,
-		site:        space.Site(),
-		timeout:     DefaultSyncTimeout,
-		interval:    DefaultInterval,
-		failureCap:  DefaultFailureCap,
-		legacyPeers: make(map[netsim.Address]bool),
-		scoped:      make(map[string]scopedTree),
+		ep:         ep,
+		clock:      clock,
+		space:      space,
+		site:       space.Site(),
+		timeout:    DefaultSyncTimeout,
+		interval:   DefaultInterval,
+		failureCap: DefaultFailureCap,
+		scoped:     make(map[string]scopedTree),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -422,7 +407,6 @@ func (r *Replicator) RemovePeer(addr netsim.Address) bool {
 	}
 	site := r.peers[idx].site
 	r.peers = append(r.peers[:idx], r.peers[idx+1:]...)
-	delete(r.legacyPeers, addr)
 	if site != "" && !r.peerSiteLocked(site) {
 		delete(r.scoped, site)
 	}
@@ -616,100 +600,14 @@ func (r *Replicator) fire() {
 }
 
 // syncPeer exchanges with peers[i] and chains to the next peer; exchanges
-// run sequentially in sorted order so rounds are deterministic. The
-// Merkle negotiation is the default; peers known not to serve it (and
-// replicators built WithFullDigest) take the legacy full-digest path.
+// run sequentially in sorted order so rounds are deterministic.
 func (r *Replicator) syncPeer(peers []peer, i int, st roundState) {
 	if i >= len(peers) {
 		r.roundDone(st)
 		return
 	}
-	p := peers[i]
 	next := func(st roundState) { r.syncPeer(peers, i+1, st) }
-	r.mu.Lock()
-	legacy := r.fullDigest || r.legacyPeers[p.addr]
-	r.mu.Unlock()
-	if legacy {
-		r.legacySync(p, st, next)
-		return
-	}
-	(&merkleExchange{r: r, p: p, st: st, next: next}).open()
-}
-
-// legacySync is the original full-digest exchange: ship the whole
-// id→version-vector digest, pull deltas, push what the peer's digest had
-// not seen. It remains the path peers without MethodDigest converge by.
-func (r *Replicator) legacySync(p peer, st roundState, next func(roundState)) {
-	r.bump(func(s *Stats) { s.LegacyExchanges++ })
-	digest := r.space.Digest()
-	st.digestEntries += len(digest)
-	st.digestBytes += digestMapBytes(digest)
-	r.bump(func(s *Stats) {
-		s.DigestEntriesSent += int64(len(digest))
-		s.DigestBytes += int64(digestMapBytes(digest))
-	})
-	r.ep.GoJSON(p.addr, MethodSync, syncReq{Site: r.site, Digest: digest}, func(res rpc.Result) {
-		var resp syncResp
-		if err := res.Decode(&resp); err != nil {
-			r.bump(func(s *Stats) { s.PeerFailures++ })
-			st.failures++
-			next(st)
-			return
-		}
-		st.digestBytes += digestMapBytes(resp.Digest)
-		r.bump(func(s *Stats) { s.DigestBytes += int64(digestMapBytes(resp.Digest)) })
-		applied := r.applyDeltas(resp.Deltas)
-		r.bump(func(s *Stats) { s.PeerSyncs++; s.Applied += int64(applied) })
-		st.applied += applied
-		if applied > 0 {
-			st.moved = true
-		}
-
-		// Push half: everything the peer's digest had not seen — which,
-		// after applying its deltas, includes merged conflict resolutions —
-		// scoped to the peer's placement interest set.
-		peerSite := resp.Site
-		if peerSite == "" {
-			peerSite = p.site
-		}
-		push := r.space.NewerThan(resp.Digest)
-		if r.policy != nil {
-			kept := push[:0]
-			for _, obj := range push {
-				if r.placedAt(peerSite, obj) {
-					kept = append(kept, obj)
-				}
-			}
-			if filtered := len(push) - len(kept); filtered > 0 {
-				r.bump(func(s *Stats) { s.FilteredPushes += int64(filtered) })
-			}
-			push = kept
-		}
-		if len(push) == 0 {
-			next(st)
-			return
-		}
-		wires := make([]wireObject, len(push))
-		for j, obj := range push {
-			wires[j] = toWire(obj)
-		}
-		r.ep.GoJSON(p.addr, MethodPush, pushReq{Site: r.site, Objects: wires}, func(res rpc.Result) {
-			var pr pushResp
-			if err := res.Decode(&pr); err != nil {
-				r.bump(func(s *Stats) { s.PeerFailures++ })
-				st.failures++
-			} else {
-				r.bump(func(s *Stats) { s.Pushed += int64(len(wires)) })
-				st.pushed += len(wires)
-				// Progress only if the peer actually changed state — it may
-				// have received the same objects from another site already.
-				if pr.Applied > 0 {
-					st.moved = true
-				}
-			}
-			next(st)
-		}, rpc.CallTimeout(r.timeout), rpc.CallTrace(st.trace))
-	}, rpc.CallTimeout(r.timeout), rpc.CallTrace(st.trace))
+	(&merkleExchange{r: r, p: peers[i], st: st, next: next}).open()
 }
 
 // roundDone closes a round and decides whether to re-arm: an explicit
@@ -938,13 +836,6 @@ func hwBytes(hw map[string]uint64) int {
 	return n
 }
 
-// isNoSuchMethod detects the fallback signal: the peer's endpoint does
-// not register MethodDigest, so it predates the Merkle negotiation.
-func isNoSuchMethod(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "no such method")
-}
-
 // --- Merkle digest negotiation (caller side) -------------------------------
 
 // merkleExchange drives one peer exchange through the digest
@@ -990,15 +881,6 @@ func (m *merkleExchange) open() {
 	r.ep.GoJSON(m.p.addr, MethodDigest, digestReq{Site: r.site, Frames: frames, HW: hw}, func(res rpc.Result) {
 		var resp digestResp
 		if err := res.Decode(&resp); err != nil {
-			if isNoSuchMethod(err) {
-				// The peer predates the negotiation: remember that and
-				// converge via the full-digest path, now and from then on.
-				r.mu.Lock()
-				r.legacyPeers[m.p.addr] = true
-				r.mu.Unlock()
-				r.legacySync(m.p, m.st, m.next)
-				return
-			}
 			m.fail()
 			return
 		}
@@ -1219,40 +1101,15 @@ func (m *merkleExchange) scopedSync(tree *information.DigestTree) {
 // so the synchronous handler form is safe under the simulated clock.
 func (r *Replicator) register() {
 	r.ep.MustRegister(MethodSync, rpc.HandleJSON(func(_ netsim.Address, req syncReq) (syncResp, error) {
+		if len(req.Scope) == 0 {
+			return syncResp{}, ErrUnscopedSync
+		}
 		r.bump(func(s *Stats) { s.ServedDigests++ })
-		if len(req.Scope) > 0 {
-			return r.serveScopedSync(req), nil
-		}
-		deltas := r.space.NewerThan(req.Digest)
-		if r.policy != nil {
-			// The caller only sees deltas of spaces it is placed in — the
-			// partial-replication cut, applied where the data would leave.
-			kept := deltas[:0]
-			for _, obj := range deltas {
-				if r.placedAt(req.Site, obj) {
-					kept = append(kept, obj)
-				}
-			}
-			if filtered := len(deltas) - len(kept); filtered > 0 {
-				r.bump(func(s *Stats) { s.FilteredDeltas += int64(filtered) })
-			}
-			deltas = kept
-		}
-		resp := syncResp{Site: r.site, Digest: r.space.Digest()}
-		if len(deltas) > 0 {
-			r.bump(func(s *Stats) { s.DeltasServed += int64(len(deltas)) })
-			resp.Deltas = make([]wireObject, len(deltas))
-			for i, obj := range deltas {
-				resp.Deltas[i] = toWire(obj)
-			}
-		}
-		return resp, nil
+		return r.serveScopedSync(req), nil
 	}))
-	if !r.fullDigest {
-		r.ep.MustRegister(MethodDigest, rpc.HandleJSON(func(_ netsim.Address, req digestReq) (digestResp, error) {
-			return r.serveDigest(req)
-		}))
-	}
+	r.ep.MustRegister(MethodDigest, rpc.HandleJSON(func(_ netsim.Address, req digestReq) (digestResp, error) {
+		return r.serveDigest(req)
+	}))
 	r.ep.MustRegister(MethodPush, rpc.HandleJSON(func(_ netsim.Address, req pushReq) (pushResp, error) {
 		var resp pushResp
 		notPlaced := 0
@@ -1423,7 +1280,7 @@ func (r *Replicator) MigrateForeign(done func(MigrationReport)) {
 
 	var rep MigrationReport
 	groups := make(map[netsim.Address][]*information.Object)
-	for _, obj := range r.space.NewerThan(nil) { // nil digest = every row
+	for _, obj := range r.space.Snapshot() {
 		pl := policy.SitesFor(placement.Describe(obj))
 		if pl.At(r.site) {
 			continue

@@ -9,7 +9,7 @@ import (
 // BenchmarkWorkloadOrgScale pins workload-level numbers into the perf
 // trajectory: tail latency per op class and total wire traffic for an
 // organization-scale chaotic run, on both topologies. Custom units ride
-// through cmd/benchjson into the BENCH_pr8.json artifact.
+// through cmd/benchjson into the BENCH.json artifact.
 func BenchmarkWorkloadOrgScale(b *testing.B) {
 	for _, topo := range []string{"mesh", "gossip"} {
 		b.Run(fmt.Sprintf("%s/sites=16/users=2000", topo), func(b *testing.B) {

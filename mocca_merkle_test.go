@@ -3,15 +3,17 @@ package mocca
 import (
 	"fmt"
 	"testing"
+
+	"mocca/internal/vclock"
 )
 
 // seedLargeDeployment builds a 2-site deployment holding n converged
 // objects. Seeding bypasses the wire (the second replica applies each
 // row directly), so tests and benchmarks measure steady-state round
 // cost, not initial replication.
-func seedLargeDeployment(tb testing.TB, n int, opts ...Option) (*Deployment, []*Site, []string) {
+func seedLargeDeployment(tb testing.TB, n int) (*Deployment, []*Site, []string) {
 	tb.Helper()
-	dep := NewDeployment(append([]Option{WithSeed(1)}, opts...)...)
+	dep := NewDeployment(WithSeed(1))
 	sites := []*Site{
 		dep.AddSite("s00", "s00.net"),
 		dep.AddSite("s01", "s01.net"),
@@ -47,6 +49,21 @@ func statsFor(tb testing.TB, dep *Deployment, site string) SiteSyncStats {
 	}
 	tb.Fatalf("no sync stats for site %q", site)
 	return SiteSyncStats{}
+}
+
+// fullDigestBytes is the canonical binary size of a whole-space
+// id→version-vector digest, by the formula replica.Stats.DigestBytes
+// counts digest entries with: what one direction of an O(n) full-digest
+// exchange would ship.
+func fullDigestBytes(d map[string]vclock.Version) int {
+	n := 8
+	for id, vv := range d {
+		n += len(id) + 4 + 8
+		for site := range vv {
+			n += len(site) + 12
+		}
+	}
+	return n
 }
 
 // TestMerkleDigestScaleAcceptance is the issue's acceptance criterion at
@@ -117,19 +134,12 @@ func TestMerkleDigestScaleAcceptance(t *testing.T) {
 		t.Fatalf("divergent repair cost %d digest bytes, want O(log n · k) ≪ O(n)", divergentBytes)
 	}
 
-	// The O(n) baseline the negotiation replaced: the same converged
-	// deployment on the legacy full-digest exchange ships the entire
-	// digest every round.
-	legacyDep, _, _ := seedLargeDeployment(t, n, WithFullDigestSync())
-	legacyDep.SyncInformation()
-	legacyDep.Run()
-	legacy := statsFor(t, legacyDep, "s00")
-	if legacy.LegacyExchanges == 0 || legacy.MerkleExchanges != 0 {
-		t.Fatalf("legacy deployment negotiated: %+v", legacy.Stats)
+	// The O(n) baseline the negotiation replaced: a full-digest round
+	// ships the entire digest both ways, every round.
+	full := 2 * fullDigestBytes(sites[0].Space().Digest())
+	if full < 100_000 {
+		t.Fatalf("full-digest round would cost %d digest bytes, expected O(n)", full)
 	}
-	if legacy.LastRoundDigestBytes < 100_000 {
-		t.Fatalf("legacy converged round cost %d digest bytes, expected O(n)", legacy.LastRoundDigestBytes)
-	}
-	t.Logf("digest bytes at %d objects: converged merkle=%d, %d-object repair=%d, legacy full digest=%d",
-		n, after.LastRoundDigestBytes, k, divergentBytes, legacy.LastRoundDigestBytes)
+	t.Logf("digest bytes at %d objects: converged merkle=%d, %d-object repair=%d, full digest=%d",
+		n, after.LastRoundDigestBytes, k, divergentBytes, full)
 }

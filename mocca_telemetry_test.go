@@ -3,12 +3,19 @@ package mocca
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"mocca/internal/engineering"
+	"mocca/internal/gossip"
+	"mocca/internal/information/logstore"
+	"mocca/internal/netsim"
 	"mocca/internal/observe"
 	"mocca/internal/placement"
+	"mocca/internal/replica"
+	"mocca/internal/rpc"
 )
 
 // TestTraceLinksWriteAcrossSites is the telemetry plane's acceptance
@@ -168,6 +175,99 @@ func TestTelemetryMetricsProjectSubsystemStats(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestMetricsExportEveryStatsField: the collector is derived from the
+// Stats structs, so every exported field of every struct it reads shows
+// up in the text exposition under its derived name and kind — a counter
+// added to any of them is exported without anyone editing a list. The
+// names dashboards and the benchmark harness read are pinned too, so the
+// derivation cannot silently rename one.
+func TestMetricsExportEveryStatsField(t *testing.T) {
+	dep := NewDeployment(WithSeed(7), WithTelemetry(), WithDurableStore(t.TempDir()), WithGossip())
+	s0 := dep.AddSite("s0", "s0.net")
+	dep.AddSite("s1", "s1.net")
+	if _, err := s0.Space().Put("ada", SharedSchemaName, map[string]string{"title": "x"}); err != nil {
+		t.Fatal(err)
+	}
+	dep.Run()
+	var buf bytes.Buffer
+	if err := dep.Metrics().Snapshot().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, src := range []struct {
+		prefix string
+		stats  any
+	}{
+		{"mocca.sync", replica.Stats{}},
+		{"mocca.placement", placement.ReaderStats{}},
+		{"mocca.placement", placement.ReadServerStats{}},
+		{"mocca.gossip", gossip.Stats{}},
+		{"mocca.store", logstore.Stats{}},
+		{"mocca.rpc", rpc.Stats{}},
+		{"mocca.net", netsim.Stats{}},
+		{"mocca.channels", engineering.FabricTotals{}},
+		{"mocca.trace", observe.TraceCounts{}},
+	} {
+		typ := reflect.TypeOf(src.stats)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			name, kind := observe.MetricName(f)
+			want := "# TYPE " + strings.ReplaceAll(src.prefix+"."+name, ".", "_") + " " + string(kind) + "\n"
+			if !strings.Contains(text, want) {
+				t.Errorf("%s.%s not exported: missing %q", typ, f.Name, want)
+			}
+		}
+	}
+
+	const counter, gauge = "counter", "gauge"
+	for name, kind := range map[string]string{
+		"mocca.sync.rounds": counter, "mocca.sync.peer_syncs": counter,
+		"mocca.sync.peer_failures": counter, "mocca.sync.applied": counter,
+		"mocca.sync.pushed": counter, "mocca.sync.conflicts": counter,
+		"mocca.sync.served_digests": counter, "mocca.sync.digest_bytes": counter,
+		"mocca.sync.merkle_exchanges": counter, "mocca.sync.converged_roots": counter,
+		"mocca.sync.scoped_trees": gauge,
+
+		"mocca.placement.reads": counter, "mocca.placement.reads_served": counter,
+		"mocca.placement.read_attempts": counter, "mocca.placement.no_holder": counter,
+		"mocca.placement.negative_hits": counter, "mocca.placement.forwards": counter,
+		"mocca.placement.forwarded": counter, "mocca.placement.remote_reads_served": counter,
+		"mocca.placement.remote_reads_missed": counter, "mocca.placement.writes_accepted": counter,
+		"mocca.placement.writes_refused": counter,
+
+		"mocca.gossip.rounds": counter, "mocca.gossip.rumors_published": counter,
+		"mocca.gossip.rumors_forwarded": counter, "mocca.gossip.rumors_seen": counter,
+		"mocca.gossip.rumor_fetches": counter, "mocca.gossip.rumor_applied": counter,
+		"mocca.gossip.active_view": gauge, "mocca.gossip.passive_view": gauge,
+
+		"mocca.store.appends": counter, "mocca.store.appended_bytes": counter,
+		"mocca.store.compactions": counter, "mocca.store.fsyncs": counter,
+		"mocca.store.flushes": counter, "mocca.store.flushed_records": counter,
+		"mocca.store.segments": gauge,
+
+		"mocca.rpc.calls_sent": counter, "mocca.rpc.calls_served": counter,
+		"mocca.rpc.timeouts": counter, "mocca.rpc.remote_errors": counter,
+
+		"mocca.net.sent": counter, "mocca.net.delivered": counter, "mocca.net.dropped": counter,
+		"mocca.net.blocked": counter, "mocca.net.bytes": counter,
+
+		"mocca.channels.open": gauge, "mocca.channels.frames_out": counter,
+		"mocca.channels.frames_in": counter, "mocca.channels.bytes_out": counter,
+		"mocca.channels.bytes_in": counter, "mocca.channels.discards_in": counter,
+
+		"mocca.trace.traces": counter, "mocca.trace.spans": counter, "mocca.trace.retained": gauge,
+		"mocca.trace.evicted": counter, "mocca.trace.slow_spans": counter,
+	} {
+		want := "# TYPE " + strings.ReplaceAll(name, ".", "_") + " " + kind + "\n"
+		if !strings.Contains(text, want) {
+			t.Errorf("missing %q", want)
 		}
 	}
 }

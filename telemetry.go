@@ -81,108 +81,30 @@ func (d *Deployment) WriteTrace(w io.Writer) error {
 // a pull-model adapter: nothing is recorded twice — each snapshot reads
 // the same counters the subsystems already maintain, at Snapshot() time.
 //
-// Naming scheme: mocca.<subsystem>.<counter>{site="..."} for per-site
-// families, label-free for deployment-wide ones. All families are
-// counters unless noted as gauges (sizes that can shrink).
+// Naming scheme: mocca.<subsystem>.<field>{site="..."} for per-site
+// families, label-free for deployment-wide ones, where <field> is the
+// Stats field in snake_case (observe.EmitStats). Every exported integer
+// field is exported; `metric` struct tags rename a field or mark it a
+// gauge (a size that can shrink) — everything else is a counter.
 func (d *Deployment) registerCollectors() {
-	ctr := func(name, site string, v int64) observe.Point {
-		p := observe.Point{Name: name, Kind: observe.KindCounter, Value: v}
-		if site != "" {
-			p.Labels = observe.L("site", site)
-		}
-		return p
-	}
-	gauge := func(name, site string, v int64) observe.Point {
-		p := ctr(name, site, v)
-		p.Kind = observe.KindGauge
-		return p
-	}
 	d.tel.Metrics.Register(observe.CollectorFunc(func(emit func(observe.Point)) {
 		for _, name := range d.SiteNames() {
 			s := d.sites[name]
-
-			rs := s.repl.Stats()
-			emit(ctr("mocca.sync.rounds", name, rs.Rounds))
-			emit(ctr("mocca.sync.peer_syncs", name, rs.PeerSyncs))
-			emit(ctr("mocca.sync.peer_failures", name, rs.PeerFailures))
-			emit(ctr("mocca.sync.applied", name, rs.Applied))
-			emit(ctr("mocca.sync.pushed", name, rs.Pushed))
-			emit(ctr("mocca.sync.conflicts", name, rs.Conflicts))
-			emit(ctr("mocca.sync.served_digests", name, rs.ServedDigests))
-			emit(ctr("mocca.sync.digest_bytes", name, rs.DigestBytes))
-			emit(ctr("mocca.sync.merkle_exchanges", name, rs.MerkleExchanges))
-			emit(ctr("mocca.sync.legacy_exchanges", name, rs.LegacyExchanges))
-			emit(ctr("mocca.sync.converged_roots", name, rs.ConvergedRoots))
-			emit(gauge("mocca.sync.scoped_trees", name, int64(rs.ScopedTrees)))
-
-			rds := s.reader.Stats()
-			emit(ctr("mocca.placement.reads", name, rds.Reads))
-			emit(ctr("mocca.placement.reads_served", name, rds.Served))
-			emit(ctr("mocca.placement.read_attempts", name, rds.Attempts))
-			emit(ctr("mocca.placement.no_holder", name, rds.NoHolder))
-			emit(ctr("mocca.placement.negative_hits", name, rds.NegativeHits))
-			emit(ctr("mocca.placement.forwards", name, rds.Forwards))
-			emit(ctr("mocca.placement.forwarded", name, rds.Forwarded))
-
-			svs := s.readServer.Stats()
-			emit(ctr("mocca.placement.remote_reads_served", name, svs.Served))
-			emit(ctr("mocca.placement.remote_reads_missed", name, svs.Missed))
-			emit(ctr("mocca.placement.writes_accepted", name, svs.WritesAccepted))
-			emit(ctr("mocca.placement.writes_refused", name, svs.WritesRefused))
-
+			site := observe.L("site", name)
+			observe.EmitStats(emit, "mocca.sync", s.repl.Stats(), site...)
+			observe.EmitStats(emit, "mocca.placement", s.reader.Stats(), site...)
+			observe.EmitStats(emit, "mocca.placement", s.readServer.Stats(), site...)
 			if s.overlay != nil {
-				gs := s.overlay.Stats()
-				emit(ctr("mocca.gossip.rounds", name, gs.Rounds))
-				emit(ctr("mocca.gossip.rumors_published", name, gs.RumorsPublished))
-				emit(ctr("mocca.gossip.rumors_forwarded", name, gs.RumorsForwarded))
-				emit(ctr("mocca.gossip.rumors_seen", name, gs.RumorsSeen))
-				emit(ctr("mocca.gossip.rumor_fetches", name, gs.RumorFetches))
-				emit(ctr("mocca.gossip.rumor_applied", name, gs.RumorApplied))
-				emit(gauge("mocca.gossip.active_view", name, int64(gs.ActiveSize)))
-				emit(gauge("mocca.gossip.passive_view", name, int64(gs.PassiveSize)))
+				observe.EmitStats(emit, "mocca.gossip", s.overlay.Stats(), site...)
 			}
-
-			if b, ok := d.backends[name]; ok {
-				if ls, ok := b.(storeStatser); ok {
-					st := ls.Stats()
-					emit(ctr("mocca.store.appends", name, st.Appends))
-					emit(ctr("mocca.store.appended_bytes", name, st.AppendedBytes))
-					emit(ctr("mocca.store.compactions", name, st.Compactions))
-					emit(ctr("mocca.store.fsyncs", name, st.Fsyncs))
-					emit(ctr("mocca.store.flushes", name, st.Flushes))
-					emit(ctr("mocca.store.flushed_records", name, st.FlushedRecords))
-					emit(gauge("mocca.store.segments", name, int64(st.Segments)))
-				}
+			if ls, ok := d.backends[name].(storeStatser); ok {
+				observe.EmitStats(emit, "mocca.store", ls.Stats(), site...)
 			}
-
-			es := s.replEP.Stats()
-			emit(ctr("mocca.rpc.calls_sent", name, es.CallsSent))
-			emit(ctr("mocca.rpc.calls_served", name, es.CallsServed))
-			emit(ctr("mocca.rpc.timeouts", name, es.Timeouts))
-			emit(ctr("mocca.rpc.remote_errors", name, es.RemoteErrors))
+			observe.EmitStats(emit, "mocca.rpc", s.replEP.Stats(), site...)
 		}
-
-		ns := d.net.Stats()
-		emit(ctr("mocca.net.sent", "", ns.Sent))
-		emit(ctr("mocca.net.delivered", "", ns.Delivered))
-		emit(ctr("mocca.net.dropped", "", ns.Dropped))
-		emit(ctr("mocca.net.blocked", "", ns.Blocked))
-		emit(ctr("mocca.net.bytes", "", ns.Bytes))
-
-		ft := d.fabric.Totals()
-		emit(gauge("mocca.channels.open", "", int64(ft.Channels)))
-		emit(ctr("mocca.channels.frames_out", "", ft.FramesOut))
-		emit(ctr("mocca.channels.frames_in", "", ft.FramesIn))
-		emit(ctr("mocca.channels.bytes_out", "", ft.BytesOut))
-		emit(ctr("mocca.channels.bytes_in", "", ft.BytesIn))
-		emit(ctr("mocca.channels.discards_in", "", ft.DiscardsIn))
-
-		tc := d.tel.Tracer.Counts()
-		emit(ctr("mocca.trace.traces", "", tc.Traces))
-		emit(ctr("mocca.trace.spans", "", tc.Spans))
-		emit(gauge("mocca.trace.retained", "", int64(tc.Retained)))
-		emit(ctr("mocca.trace.evicted", "", tc.Evicted))
-		emit(ctr("mocca.trace.slow_spans", "", int64(tc.SlowSpans)))
+		observe.EmitStats(emit, "mocca.net", d.net.Stats())
+		observe.EmitStats(emit, "mocca.channels", d.fabric.Totals())
+		observe.EmitStats(emit, "mocca.trace", d.tel.Tracer.Counts())
 	}))
 }
 
